@@ -57,10 +57,7 @@ func newPlan(n int) *Plan {
 	return &Plan{n: n, logN: logN, rev: rev, twiddle: tw}
 }
 
-// N returns the transform size of the plan.
-func (p *Plan) N() int { return p.n }
-
-// Forward computes the in-place DFT of x (len(x) must equal p.N()).
+// Forward computes the in-place DFT of x (len(x) must equal the plan size).
 func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
 		panic("fft: Forward length mismatch")

@@ -1,7 +1,6 @@
 package estimate
 
 import (
-	"errors"
 	"sync"
 
 	"vvd/internal/dsp"
@@ -158,9 +157,6 @@ func (res *Result) CER() float64 {
 	}
 	return float64(res.ChipErrors) / float64(res.PSDUChips)
 }
-
-// ErrNoEstimate signals a decode that required an estimate but got none.
-var ErrNoEstimate = errors.New("estimate: nil channel estimate")
 
 // Decode runs the chain on a CFO-corrected waveform with the given channel
 // estimate. A nil estimate selects Standard Decoding (no equalization; the

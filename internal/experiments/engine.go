@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,17 +250,6 @@ func (e *Engine) KalmanFor(cb dataset.Combination, order int) (*kalman.Estimator
 type ComboResult struct {
 	Combo    dataset.Combination
 	Counters map[string]*metrics.Counter
-}
-
-// Techniques returns the evaluated technique names in stable (sorted)
-// order for reports.
-func (r *ComboResult) Techniques() []string {
-	out := make([]string, 0, len(r.Counters))
-	for name := range r.Counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // comboRun shares per-combination state between the technique tasks of one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -81,15 +82,20 @@ func TestInferenceEngineMatchesForward(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Forward(in)
+				in32 := make([]float32, len(in))
+				for i, v := range in {
+					in32[i] = float32(v)
+				}
+				outs, err := eng.ForwardBatchF32([][]float32{in32})
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := outs[0]
 				if len(got) != len(want) {
 					t.Fatalf("output size %d, want %d", len(got), len(want))
 				}
 				for i := range got {
-					if diff := math.Abs(got[i] - want[i]); diff > tolAbs+tolRel*math.Abs(want[i]) {
+					if diff := math.Abs(float64(got[i]) - want[i]); diff > tolAbs+tolRel*math.Abs(want[i]) {
 						t.Fatalf("trial %d out[%d]=%g, reference %g (|Δ|=%g)", trial, i, got[i], want[i], diff)
 					}
 				}
@@ -133,36 +139,6 @@ func TestInferenceEngineBatchBitwise(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestForwardBatchPooledBuffers re-pins the legacy float64 batch path
-// (now writing into pooled, recycled buffers) as bitwise identical to
-// Forward, including after buffer reuse on a second differently-sized
-// batch.
-func TestForwardBatchPooledBuffers(t *testing.T) {
-	net := randomNet(t, inferArches()["odd-pools"], 3)
-	rng := rand.New(rand.NewPCG(2, 4))
-	for _, batch := range []int{5, 2, 9} { // shrinking + growing reuses pooled arenas
-		ins := make([][]float64, batch)
-		for s := range ins {
-			ins[s] = randomInput(rng, net.In.Size(), false)
-		}
-		outs, err := net.ForwardBatch(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range ins {
-			want, err := net.Forward(ins[s])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if outs[s][i] != want[i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
-					t.Fatalf("batch %d sample %d out[%d]: %g != Forward %g", batch, s, i, outs[s][i], want[i])
-				}
-			}
-		}
 	}
 }
 
@@ -269,6 +245,41 @@ func TestInferenceEngineForwardBatchInto(t *testing.T) {
 	if err := eng.ForwardBatchF32Into(ins, [][]float32{make([]float32, 1)}); err == nil {
 		t.Fatal("undersized output must error")
 	}
+	// Rejected batches are validated before any sample runs: the outputs
+	// keep their sentinel values.
+	const sentinel = float32(-7)
+	filled := func(n int) [][]float32 {
+		outs := make([][]float32, n)
+		for s := range outs {
+			outs[s] = make([]float32, net.Out.Size())
+			for i := range outs[s] {
+				outs[s][i] = sentinel
+			}
+		}
+		return outs
+	}
+	for name, bad := range map[string][]float32{
+		"wrong-size input": make([]float32, net.In.Size()+1),
+		"nil sample":       nil,
+	} {
+		outs := filled(2)
+		if err := eng.ForwardBatchF32Into([][]float32{ins[0], bad}, outs); err == nil {
+			t.Fatalf("%s must error", name)
+		}
+		for s := range outs {
+			for i, v := range outs[s] {
+				if v != sentinel { //vvdlint:bitexact -- sentinel must survive untouched
+					t.Fatalf("%s: out[%d][%d]=%g written by a rejected batch", name, s, i, v)
+				}
+			}
+		}
+	}
+	if err := eng.ForwardBatchF32Into(nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
+	}
+	if got, err := eng.ForwardBatchF32(nil); err != nil || len(got) != 0 {
+		t.Fatalf("empty batch: got %d outputs, %v", len(got), err)
+	}
 	out := make([]float32, net.Out.Size())
 	if err := eng.ForwardBatchF32Into(ins, [][]float32{out}); err != nil {
 		t.Fatal(err)
@@ -281,6 +292,63 @@ func TestInferenceEngineForwardBatchInto(t *testing.T) {
 		if out[i] != ref[0][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
 			t.Fatalf("Into out[%d]=%g != %g", i, out[i], ref[0][i])
 		}
+	}
+}
+
+// TestInferenceEngineConcurrent backs the engine's concurrency promise:
+// goroutines sharing one engine (and its arena pool) must each get the
+// single-goroutine result bit for bit, in float32 and int8 modes. Run
+// under -race in CI.
+func TestInferenceEngineConcurrent(t *testing.T) {
+	net := randomNet(t, inferArches()["odd-pools"], 13)
+	rng := rand.New(rand.NewPCG(5, 3))
+	ins := make([][]float32, 11) // spans an inferChunk boundary
+	for s := range ins {
+		ins[s] = make([]float32, net.In.Size())
+		for i := range ins[s] {
+			ins[s][i] = float32(rng.Float64() * 4)
+		}
+	}
+	for _, mode := range []string{"float32", "int8"} {
+		t.Run(mode, func(t *testing.T) {
+			eng, err := NewInferenceEngine(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "int8" {
+				if _, err := eng.Calibrate(ins); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.EnableInt8(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := eng.ForwardBatchF32(ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := eng.ForwardBatchF32(ins)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for s := range want {
+						for i := range want[s] {
+							if got[s][i] != want[s][i] { //vvdlint:bitexact -- batch and engine parity vs Forward is bitwise by contract
+								t.Errorf("goroutine %d sample %d out[%d]: %g != %g", g, s, i, got[s][i], want[s][i])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

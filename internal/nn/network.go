@@ -105,21 +105,6 @@ func (n *Network) Clone() *Network {
 	return &Network{In: n.In, Out: n.Out, Layers: layers}
 }
 
-// CopyWeightsFrom copies parameter values from src (shapes must match).
-func (n *Network) CopyWeightsFrom(src *Network) error {
-	dst, s := n.Params(), src.Params()
-	if len(dst) != len(s) {
-		return errors.New("nn: parameter count mismatch")
-	}
-	for i := range dst {
-		if len(dst[i].W) != len(s[i].W) {
-			return errors.New("nn: parameter size mismatch")
-		}
-		copy(dst[i].W, s[i].W)
-	}
-	return nil
-}
-
 // MSE returns the mean squared error and fills grad with ∂L/∂pred
 // (grad may be nil to skip).
 func MSE(pred, target, grad []float64) (float64, error) {

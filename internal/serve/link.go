@@ -117,9 +117,6 @@ func (s *Service) Links() []LinkStats {
 	return out
 }
 
-// ID returns the session id.
-func (l *Link) ID() string { return l.id }
-
 // Latest returns the freshest published estimate (freshest-wins — the
 // paper's serving semantics: decode with the newest view of the channel)
 // and records its age in the session statistics.

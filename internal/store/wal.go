@@ -184,9 +184,6 @@ func (kv *KV) Recovery() RecoveryInfo {
 	return kv.recovery
 }
 
-// Dir returns the backing directory.
-func (kv *KV) Dir() string { return kv.dir }
-
 func (kv *KV) segName(id int) string {
 	return filepath.Join(kv.dir, fmt.Sprintf("wal-%08d.seg", id))
 }
