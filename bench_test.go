@@ -579,7 +579,8 @@ func BenchmarkDespread(b *testing.B) {
 }
 
 // BenchmarkCNNTrainingStep measures one mini-batch gradient step of the
-// scaled architecture.
+// scaled architecture: a one-epoch Fit over one batch of 16, so it
+// includes Fit's set-up, at Fit's default fan-out (GOMAXPROCS).
 func BenchmarkCNNTrainingStep(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	net, err := core.BuildNetwork(core.ScaledArch(), rng)
@@ -601,7 +602,7 @@ func BenchmarkCNNTrainingStep(b *testing.B) {
 	opt := nn.NewNadam()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nn.Fit(net, opt, samples, nil, nn.TrainConfig{Epochs: 1, BatchSize: 16, Workers: 4, Seed: 1}); err != nil {
+		if _, err := nn.Fit(net, opt, samples, nil, nn.TrainConfig{Epochs: 1, BatchSize: 16, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,7 +27,7 @@ func main() {
 		out          = flag.String("out", "vvd.model", "output model file")
 		epochs       = flag.Int("epochs", 24, "training epochs (paper: 200)")
 		batch        = flag.Int("batch", 16, "mini-batch size")
-		workers      = flag.Int("workers", 0, "gradient workers (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "cap on the goroutines a training step fans out to (0 = GOMAXPROCS); the trained model does not depend on it")
 		lr           = flag.Float64("lr", 1.2e-3, "initial Nadam learning rate (paper: 1e-4)")
 		paperArch    = flag.Bool("paper-arch", false, "use the full Fig. 8 architecture (slow on CPU)")
 		seed         = flag.Uint64("seed", 7, "training seed")

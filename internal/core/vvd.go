@@ -121,8 +121,9 @@ type VVD struct {
 
 	// Inference rides a compiled nn.InferenceEngine (im2col + GEMM,
 	// float32), built lazily from Net on the first Estimate and shared by
-	// all concurrent callers. Training and Backward keep using the
-	// float64 Net directly.
+	// all concurrent callers. Training runs nn.Fit's batched float32
+	// passes on the same GEMM kernels; Net holds the float64 master
+	// weights both start from.
 	engOnce   sync.Once
 	eng       *nn.InferenceEngine
 	engErr    error

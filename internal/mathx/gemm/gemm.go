@@ -1,6 +1,7 @@
 // Package gemm implements the matrix-multiply core of the inference
-// engine: a cache-blocked float32 GEMM and a symmetric-quantized
-// int8×int8→int32 variant, both built around an 8×8 register micro-tile.
+// engine and of training: a cache-blocked float32 GEMM, its transposed-A
+// form for weight gradients (SgemmTN) and a symmetric-quantized
+// int8×int8→int32 variant, all built around an 8×8 register micro-tile.
 //
 // The weight operand B is packed once (PackB / PackBInt8) into NR-wide
 // column panels and reused across every call — for CNN inference the
@@ -64,27 +65,46 @@ type PackedB struct {
 
 // PackB packs the row-major k×n matrix b.
 func PackB(k, n int, b []float32) *PackedB {
-	if len(b) < k*n {
+	pb := &PackedB{K: k, N: n, data: make([]float32, PanelLen(k, n))}
+	pb.Repack(b)
+	return pb
+}
+
+// Repack packs b, a row-major K×N matrix of new values, into pb's
+// storage: weights that change every step (training) stay packed without
+// allocating.
+func (pb *PackedB) Repack(b []float32) {
+	if len(b) < pb.K*pb.N {
 		panic("gemm: PackB matrix shorter than k×n")
 	}
-	tiles := (n + nr - 1) / nr
-	pb := &PackedB{K: k, N: n, data: make([]float32, tiles*k*nr)}
-	for t := 0; t < tiles; t++ {
-		panel := pb.data[t*k*nr:]
+	PackPanels(pb.data, b, pb.N, pb.K, pb.N)
+}
+
+// NR is the column count of one packed panel.
+const NR = nr
+
+// PanelLen returns the float32 length of a k×n matrix in panel layout.
+func PanelLen(k, n int) int { return (n + nr - 1) / nr * k * nr }
+
+// PackPanels writes the k×n matrix b (row stride ldb) in panel layout —
+// NR-wide column panels, dst[t*k*NR + p*NR + j] = b[p*ldb + t*NR + j],
+// zero past column n — the layout of PackB and of SgemmTN's operands.
+func PackPanels(dst, b []float32, ldb, k, n int) {
+	for t := 0; t*nr < n; t++ {
+		panel := dst[t*k*nr:]
 		j0 := t * nr
 		cols := min(nr, n-j0)
 		for p := 0; p < k; p++ {
-			row := b[p*n+j0:]
-			dst := panel[p*nr : p*nr+nr]
+			row := b[p*ldb+j0:]
+			d := panel[p*nr : p*nr+nr]
 			for j := 0; j < cols; j++ {
-				dst[j] = row[j]
+				d[j] = row[j]
 			}
 			for j := cols; j < nr; j++ {
-				dst[j] = 0
+				d[j] = 0
 			}
 		}
 	}
-	return pb
 }
 
 // scratch holds one worker's packing buffers and edge tiles.
@@ -134,6 +154,53 @@ func Sgemm(m, k, n int, a, b, c []float32) {
 	SgemmPacked(m, a, k, PackB(k, n, b), c, n)
 }
 
+// SgemmPackedSeq is SgemmPacked on the calling goroutine only, for
+// callers that fan out over independent products themselves.
+func SgemmPackedSeq(m int, a []float32, lda int, pb *PackedB, c []float32, ldc int) {
+	if m > 0 {
+		sgemmRange(0, m, a, lda, pb, c, ldc)
+	}
+}
+
+// SgemmTN computes C += Aᵀ·B on the calling goroutine, for A (k×m) and
+// B (k×n) both in panel layout (see PackPanels) and c row-major m×n with
+// stride ldc. It is the weight gradient of a layer, dW = Xᵀ·dY summed
+// over the rows of a batch: each micro-tile sums kcCols-deep chunks of k
+// in registers and adds them to c in order, so the result does not depend
+// on the caller. An operand with exactly NR contiguous columns is its own
+// panel layout.
+func SgemmTN(m, n, k int, ap, bp []float32, c []float32, ldc int) {
+	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	st := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(st)
+	for i := 0; i*mr < m; i++ {
+		rows := min(mr, m-i*mr)
+		for j := 0; j*nr < n; j++ {
+			cols := min(nr, n-j*nr)
+			ct := c[i*mr*ldc+j*nr:]
+			for p0 := 0; p0 < k; p0 += kcCols {
+				kc := min(kcCols, k-p0)
+				a := ap[(i*k+p0)*mr:]
+				b := bp[(j*k+p0)*nr:]
+				if rows == mr && cols == nr {
+					kernF32(kc, a, b, ct, ldc)
+					continue
+				}
+				clear(st.tile[:])
+				kernF32(kc, a, b, st.tile[:], nr)
+				for r := 0; r < rows; r++ {
+					crow := ct[r*ldc:]
+					for jj := 0; jj < cols; jj++ {
+						crow[jj] += st.tile[r*nr+jj]
+					}
+				}
+			}
+		}
+	}
+}
+
 // ---------- caller-prepacked A ----------
 //
 // Producers that materialize A anyway (im2col) can write it directly in
@@ -152,6 +219,9 @@ func Sgemm(m, k, n int, a, b, c []float32) {
 
 // MR is the row count of one packed-A panel.
 const MR = mr
+
+// MaxPrepackedK is the largest k the prepacked entry points accept.
+const MaxPrepackedK = kcCols
 
 // KP returns k rounded up to the int8 quad-interleave granularity.
 func KP(k int) int { return (k + 3) &^ 3 }
@@ -191,6 +261,17 @@ func SgemmPrepacked(m int, ap []float32, pb *PackedB, c []float32, ldc int) {
 		}(q0, q1)
 	}
 	wg.Wait()
+}
+
+// SgemmPrepackedSeq is SgemmPrepacked on the calling goroutine only.
+func SgemmPrepackedSeq(m int, ap []float32, pb *PackedB, c []float32, ldc int) {
+	if m == 0 {
+		return
+	}
+	if pb.K > kcCols {
+		panic("gemm: SgemmPrepacked requires K within the panel budget")
+	}
+	sgemmPreRange(0, (m+mr-1)/mr, m, ap, pb, c, ldc)
 }
 
 func sgemmPreRange(q0, q1, m int, ap []float32, pb *PackedB, c []float32, ldc int) {

@@ -89,6 +89,85 @@ func TestSgemmKernelAgreement(t *testing.T) {
 	}
 }
 
+// TestSgemmTNMatchesReference drives the transposed-A product the
+// trainer's weight gradients run (C += Aᵀ·B over panel-layout operands,
+// reduced over k) on a padded C stride and every tiling edge, k above the
+// chunk size included.
+func TestSgemmTNMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 34))
+	shapes := [][3]int{
+		{1, 1, 1}, {8, 8, 8}, {10, 8, 4224}, {73, 8, 924}, {73, 16, 171},
+		{145, 16, 14}, {225, 64, 16}, {5, 3, 2049}, {17, 22, 33},
+	}
+	for _, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		lda, ldb, ldc := m+3, n+1, n+2
+		a := randMat(rng, k*lda)
+		b := randMat(rng, k*ldb)
+		c := randMat(rng, m*ldc) // C += must respect prior content
+		want := make([]float64, m*n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				acc := float64(c[i*ldc+j])
+				for p := 0; p < k; p++ {
+					acc += float64(a[p*lda+i]) * float64(b[p*ldb+j])
+				}
+				want[i*n+j] = acc
+			}
+		}
+		ap := make([]float32, PanelLen(k, m))
+		bp := make([]float32, PanelLen(k, n))
+		PackPanels(ap, a, lda, k, m)
+		PackPanels(bp, b, ldb, k, n)
+		pad := c[n] // a stride gap SgemmTN must not touch
+		SgemmTN(m, n, k, ap, bp, c, ldc)
+		if c[n] != pad { //vvdlint:bitexact -- the gap is never written
+			t.Fatalf("m=%d n=%d k=%d: wrote the stride gap", m, n, k)
+		}
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				got, w := float64(c[i*ldc+j]), want[i*n+j]
+				if math.Abs(got-w) > 1e-4+1e-5*math.Abs(w)*math.Sqrt(float64(k)) {
+					t.Fatalf("m=%d n=%d k=%d: c[%d,%d]=%g want %g", m, n, k, i, j, got, w)
+				}
+			}
+		}
+	}
+}
+
+// TestSgemmSeqMatchesFanOut: the single-goroutine entry points give the
+// fanned-out ones' result bit for bit, and Repack rebuilds what PackB
+// built.
+func TestSgemmSeqMatchesFanOut(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 80))
+	m, k, n := 4224, 72, 16 // above parallelFlops: the fanned-out call splits
+	a := randMat(rng, m*k)
+	w := randMat(rng, k*n)
+	pb := PackB(k, n, randMat(rng, k*n))
+	pb.Repack(w)
+	fresh := PackB(k, n, w)
+	for i := range pb.data {
+		if pb.data[i] != fresh.data[i] { //vvdlint:bitexact -- packing copies values
+			t.Fatalf("Repack differs from PackB at %d", i)
+		}
+	}
+	want := make([]float32, m*n)
+	got := make([]float32, m*n)
+	SgemmPacked(m, a, k, pb, want, n)
+	SgemmPackedSeq(m, a, k, pb, got, n)
+	ap := make([]float32, PackedALen(m, k))
+	packA(ap, a, k, m, k)
+	wantPre := make([]float32, m*n)
+	gotPre := make([]float32, m*n)
+	SgemmPrepacked(m, ap, pb, wantPre, n)
+	SgemmPrepackedSeq(m, ap, pb, gotPre, n)
+	for i := range want {
+		if got[i] != want[i] || gotPre[i] != wantPre[i] { //vvdlint:bitexact -- row blocks are disjoint
+			t.Fatalf("serial result differs at %d", i)
+		}
+	}
+}
+
 // refMulInt8 is the exact integer reference.
 func refMulInt8(m, k, n int, a []uint8, b []int8, c []int32) {
 	for i := 0; i < m; i++ {

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -81,28 +82,51 @@ func TestNadamConvergesOnQuadratic(t *testing.T) {
 }
 
 func TestWorkerCountsEquivalent(t *testing.T) {
-	// Training with 1 worker and 3 workers must produce identical weights:
-	// gradients are summed deterministically regardless of partitioning.
-	mk := func(workers int) float64 {
-		rng := rand.New(rand.NewPCG(7, 8))
-		net, err := NewNetwork(Shape{1, 1, 4}, rng, NewDense(6), NewReLU(), NewDense(1))
+	// Training must give the same weights, bit for bit, whatever the
+	// goroutine fan-out: every task writes only its own sample's buffers
+	// and gradients are reduced in sample order. A conv+pool+dense net
+	// with a partial last batch, at Workers 1 and 3 (and the GOMAXPROCS
+	// default) and GOMAXPROCS 1, 2 and 4.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	train := func(workers int) []float64 {
+		net, err := NewNetwork(Shape{10, 12, 1}, rand.New(rand.NewPCG(7, 8)),
+			NewConv2D(3, 3, 4), NewReLU(), NewPool2D(MaxPool),
+			NewConv2D(3, 3, 8), NewReLU(), NewPool2D(AvgPool),
+			NewFlatten(), NewDense(6), NewReLU(), NewDense(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := make([]Sample, 24)
+		data := make([]Sample, 23)
 		drng := rand.New(rand.NewPCG(9, 10))
 		for i := range data {
-			x := randInput(drng, 4)
-			data[i] = Sample{X: x, Y: []float64{x[0] - x[2]}}
+			x := randInput(drng, 120)
+			data[i] = Sample{X: x, Y: []float64{x[0] - x[2], x[50]}}
 		}
-		if _, err := Fit(net, NewNadam(), data, nil, TrainConfig{Epochs: 3, BatchSize: 12, Workers: workers, Seed: 2}); err != nil {
+		cfg := TrainConfig{Epochs: 3, BatchSize: 5, Workers: workers, Seed: 2}
+		if _, err := Fit(net, NewNadam(), data[:18], data[18:], cfg); err != nil {
 			t.Fatal(err)
 		}
-		return net.L2Norm()
+		var w []float64
+		for _, p := range net.Params() {
+			w = append(w, p.W...)
+		}
+		return w
 	}
-	a, b := mk(1), mk(3)
-	if math.Abs(a-b) > 1e-9 {
-		t.Fatalf("worker count changed training result: %v vs %v", a, b)
+	var want []float64
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{0, 1, 3} {
+			got := train(workers)
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if got[i] != want[i] { //vvdlint:bitexact -- training is bitwise deterministic by contract
+					t.Fatalf("GOMAXPROCS %d, Workers %d: weight %d = %v, want %v", procs, workers, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -394,7 +394,7 @@ func (e *InferenceEngine) run(a *inferArena, ins [][]float32, outs [][]float32, 
 			}
 			continue // in place
 		case opPool:
-			e.pool(op, s, cur, nxt)
+			poolF32(op, s, cur, nxt)
 		case opConv:
 			if calib != nil {
 				calib[i] = max(calib[i], maxOf(cur[:s*op.in.Size()]))
@@ -650,11 +650,11 @@ func (e *InferenceEngine) denseInt8(op *inferOp, qt *quantTable, s int, cur, nxt
 	gemm.DequantScale(nxt[:s*op.n], acc, qt.deq)
 }
 
-// pool applies 2×2/stride-2 pooling per sample (trailing odd row/column
-// ignored, matching Pool2D). preReLU pools the clamped values via the
-// fused row kernels — exact for avg, and for max because
+// poolF32 applies 2×2/stride-2 pooling to s samples (trailing odd
+// row/column ignored, matching Pool2D). preReLU pools the clamped values
+// via the fused row kernels — exact for avg, and for max because
 // max(relu(·)) == relu(max(·)).
-func (e *InferenceEngine) pool(op *inferOp, s int, cur, nxt []float32) {
+func poolF32(op *inferOp, s int, cur, nxt []float32) {
 	inSize, outSize := op.in.Size(), op.out.Size()
 	oh, ow, c := op.out.H, op.out.W, op.out.C
 	iw := op.in.W

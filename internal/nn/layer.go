@@ -1,12 +1,16 @@
 // Package nn is a small, dependency-free neural network library sufficient
 // to reproduce the paper's CNN (Fig. 8): 2D convolutions, ReLU, average and
 // max pooling, dense layers, mean-squared-error loss and the Nadam
-// optimizer with per-epoch learning-rate decay. Training supports
-// data-parallel workers, and models serialize to a compact binary format.
+// optimizer with per-epoch learning-rate decay. Models serialize to a
+// compact binary format.
 //
-// Tensors are flat []float64 in row-major [H][W][C] layout; layers carry
-// their own forward caches, so one network instance must not be used from
-// multiple goroutines concurrently (the trainer clones per worker).
+// Tensors are flat []float64 in row-major [H][W][C] layout. The layers'
+// per-sample float64 Forward and Backward are the reference
+// implementation (gradient checks, engine parity); they carry their own
+// forward caches, so one network instance must not run them from
+// multiple goroutines concurrently. Fit and Evaluate run the same network
+// batched in float32 on the GEMM core (see trainer), and serving runs the
+// compiled InferenceEngine.
 package nn
 
 import (
@@ -25,7 +29,7 @@ func (s Shape) Size() int { return s.H * s.W * s.C }
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
 
 // Param is a learnable parameter tensor with its gradient and Nadam
-// moments. Workers share W but keep private G.
+// moments. Clones share W but keep private G.
 type Param struct {
 	W []float64 // values (shared across clones)
 	G []float64 // gradient accumulator (per clone)

@@ -90,8 +90,9 @@ func (n *Network) ZeroGrad() {
 	}
 }
 
-// Clone returns a network sharing parameter values (for data-parallel
-// training) but with private caches and gradient buffers.
+// Clone returns a network sharing parameter values but with private
+// forward caches and gradient buffers, so the float64 reference Forward
+// can run on the clone and the original concurrently.
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {

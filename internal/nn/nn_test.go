@@ -410,7 +410,6 @@ func TestNadamStepMovesWeights(t *testing.T) {
 }
 
 func TestFitDeterministicWithSeed(t *testing.T) {
-	rng1 := rand.New(rand.NewPCG(25, 26))
 	mk := func(rng *rand.Rand, n int) []Sample {
 		out := make([]Sample, n)
 		for i := range out {
@@ -432,7 +431,6 @@ func TestFitDeterministicWithSeed(t *testing.T) {
 		}
 		return hist.TrainLoss[len(hist.TrainLoss)-1]
 	}
-	_ = rng1
 	if run() != run() {
 		t.Fatal("same seed must reproduce training")
 	}
@@ -453,6 +451,16 @@ func TestFitErrors(t *testing.T) {
 	good := []Sample{{X: []float64{1, 2}, Y: []float64{1}}}
 	if _, err := Fit(net, NewNadam(), good, nil, TrainConfig{Epochs: 0}); err == nil {
 		t.Fatal("zero epochs accepted")
+	}
+	// A conv patch deeper than the GEMM kernels take is an error, not a
+	// panic in a worker goroutine.
+	deep, err := NewNetwork(Shape{6, 6, 40}, rand.New(rand.NewPCG(1, 2)), NewConv2D(6, 6, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, deep.In.Size())
+	if _, err := Fit(deep, NewNadam(), []Sample{{X: x, Y: []float64{0}}}, nil, DefaultTrainConfig()); err == nil {
+		t.Fatal("conv patch above the GEMM limit accepted")
 	}
 }
 

@@ -2,11 +2,9 @@ package nn
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"sync"
 )
 
 // Nadam is the Nesterov-accelerated Adam optimizer used by the paper
@@ -75,8 +73,10 @@ type Sample struct {
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Workers   int // data-parallel gradient workers (0 = GOMAXPROCS)
-	Seed      uint64
+	// Workers caps the goroutines one training step fans out to
+	// (0 = GOMAXPROCS). Results do not depend on it.
+	Workers int
+	Seed    uint64
 	// Verbose, if non-nil, receives one line per epoch.
 	Verbose func(epoch int, trainLoss, valLoss float64)
 }
@@ -97,6 +97,11 @@ type History struct {
 // Fit trains the network with Nadam + MSE, evaluating the validation set
 // each epoch and restoring the best-validation weights at the end (the
 // paper selects the epoch with the best validation performance).
+//
+// Each minibatch runs as one batched float32 forward/backward on the GEMM
+// core (see trainer); the master weights, the Nadam moments and Step stay
+// float64. The trained weights are bitwise identical for any Workers and
+// GOMAXPROCS.
 func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*History, error) {
 	if len(train) == 0 {
 		return nil, errors.New("nn: Fit needs training samples")
@@ -111,20 +116,15 @@ func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*Histo
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.BatchSize {
-		workers = cfg.BatchSize
+	if err := checkSamples(net, train); err != nil {
+		return nil, err
 	}
-	for _, s := range train {
-		if len(s.X) != net.In.Size() || len(s.Y) != net.Out.Size() {
-			return nil, fmt.Errorf("nn: sample shape mismatch (x %d want %d, y %d want %d)",
-				len(s.X), net.In.Size(), len(s.Y), net.Out.Size())
-		}
+	t, err := newTrainer(net, cfg.BatchSize, workers)
+	if err != nil {
+		return nil, err
 	}
+	defer t.release()
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xabcdef))
-	clones := make([]*Network, workers)
-	for i := range clones {
-		clones[i] = net.Clone()
-	}
 	hist := &History{BestVal: math.Inf(1), BestEpoch: -1}
 	masterParams := net.Params()
 	var best [][]float64
@@ -133,43 +133,26 @@ func Fit(net *Network, opt *Nadam, train, val []Sample, cfg TrainConfig) (*Histo
 	for i := range order {
 		order[i] = i
 	}
+	batch := make([]Sample, 0, cfg.BatchSize)
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
+			batch = batch[:0]
+			for _, i := range order[start:min(start+cfg.BatchSize, len(order))] {
+				batch = append(batch, train[i])
 			}
-			batch := order[start:end]
-			loss, err := parallelBatch(clones, train, batch, workers)
-			if err != nil {
-				return nil, err
-			}
-			// Reduce worker gradients into the master params.
-			for wi := range clones {
-				cp := clones[wi].Params()
-				for pi, p := range masterParams {
-					for gi, g := range cp[pi].G {
-						p.G[gi] += g
-					}
-					for gi := range cp[pi].G {
-						cp[pi].G[gi] = 0
-					}
-				}
-			}
+			// The summed sample loss weights each batch by its size:
+			// averaging batch means would over-weight a partial last batch.
+			epochLoss += t.step(batch)
 			opt.Step(masterParams, len(batch))
 			net.ZeroGrad()
-			// Weight each batch's mean loss by its size: averaging batch
-			// means directly over-weights the final partial batch.
-			epochLoss += loss * float64(len(batch))
 		}
 		trainLoss := epochLoss / float64(len(order))
 		valLoss := trainLoss
 		if len(val) > 0 {
-			var err error
-			valLoss, err = Evaluate(net, val)
+			valLoss, err = t.evaluate(net, val)
 			if err != nil {
 				return nil, err
 			}
@@ -202,70 +185,19 @@ func snapshot(params []*Param) [][]float64 {
 	return out
 }
 
-// parallelBatch distributes the batch across worker clones and returns the
-// mean sample loss. Each worker accumulates gradients into its own buffers.
-func parallelBatch(clones []*Network, data []Sample, batch []int, workers int) (float64, error) {
-	var wg sync.WaitGroup
-	losses := make([]float64, workers)
-	errs := make([]error, workers)
-	per := (len(batch) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + per
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			netw := clones[w]
-			grad := make([]float64, netw.Out.Size())
-			for _, idx := range batch[lo:hi] {
-				out, err := netw.Forward(data[idx].X)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				loss, err := MSE(out, data[idx].Y, grad)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				losses[w] += loss
-				netw.Backward(grad)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total float64
-	for w := range losses {
-		if errs[w] != nil {
-			return 0, errs[w]
-		}
-		total += losses[w]
-	}
-	return total / float64(len(batch)), nil
-}
+// evalBatch is the chunk size Evaluate runs the batched forward in.
+const evalBatch = 16
 
-// Evaluate returns the mean MSE over a sample set.
+// Evaluate returns the mean MSE over a sample set, on the same batched
+// float32 forward Fit trains with.
 func Evaluate(net *Network, data []Sample) (float64, error) {
 	if len(data) == 0 {
 		return 0, errors.New("nn: Evaluate needs samples")
 	}
-	var sum float64
-	for _, s := range data {
-		out, err := net.Forward(s.X)
-		if err != nil {
-			return 0, err
-		}
-		loss, err := MSE(out, s.Y, nil)
-		if err != nil {
-			return 0, err
-		}
-		sum += loss
+	t, err := newTrainer(net, min(evalBatch, len(data)), runtime.GOMAXPROCS(0))
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(len(data)), nil
+	defer t.release()
+	return t.evaluate(net, data)
 }
